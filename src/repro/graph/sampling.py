@@ -17,6 +17,7 @@ accuracy.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,34 +25,59 @@ import numpy as np
 from repro.graph.tag import TextAttributedGraph
 
 
-def bfs_hops(graph: TextAttributedGraph, node: int, max_hops: int) -> dict[int, np.ndarray]:
-    """Breadth-first hop layers around ``node``.
+def iter_bfs_layers(
+    graph: TextAttributedGraph, node: int, max_hops: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Lazily walk the breadth-first hop layers around ``node``.
 
-    Returns a dict mapping hop distance ``h`` (1-based) to the sorted array of
-    node ids first reached at that distance.  Hops with no new nodes are
-    omitted, so the result may have fewer than ``max_hops`` entries.
+    Yields ``(h, layer)`` for ``h = 1, 2, ...`` (at most ``max_hops``), where
+    ``layer`` is the sorted int64 array of node ids first reached at hop
+    distance ``h``.  The walk ends at the first hop that reaches no new
+    node.  Each hop expands the whole frontier at once over the CSR arrays
+    and tests a boolean visited mask, so a caller that stops early (SNS
+    stops once it holds enough labeled neighbors) pays only for the hops it
+    read.  Arguments are validated when the walk is created, not on the
+    first ``next``.
     """
     if max_hops < 0:
         raise ValueError(f"max_hops must be >= 0, got {max_hops}")
     if not 0 <= node < graph.num_nodes:
         raise ValueError(f"node {node} out of range")
-    visited = {int(node)}
-    frontier = np.asarray([node], dtype=np.int64)
-    layers: dict[int, np.ndarray] = {}
+    return _walk_layers(graph, int(node), int(max_hops))
+
+
+def _walk_layers(
+    graph: TextAttributedGraph, node: int, max_hops: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    indptr, indices = graph.indptr, graph.indices
+    visited = np.zeros(graph.num_nodes, dtype=bool)
+    visited[node] = True
+    reached = indices[indptr[node] : indptr[node + 1]]
     for hop in range(1, max_hops + 1):
-        if frontier.size == 0:
-            break
-        candidates: set[int] = set()
-        for u in frontier:
-            candidates.update(int(v) for v in graph.neighbors(int(u)))
-        fresh = sorted(candidates - visited)
-        if not fresh:
-            break
-        layer = np.asarray(fresh, dtype=np.int64)
-        layers[hop] = layer
-        visited.update(fresh)
-        frontier = layer
-    return layers
+        layer = np.unique(reached[~visited[reached]])
+        if layer.size == 0:
+            return
+        visited[layer] = True
+        yield hop, layer
+        if hop == max_hops:
+            return
+        # Gather every layer node's CSR slice in one indexing operation:
+        # position k of the concatenation sits at starts[j] + (k - offset_j)
+        # for the slice j that holds it.
+        starts = indptr[layer]
+        lengths = indptr[layer + 1] - starts
+        shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        reached = indices[shift + np.arange(int(lengths.sum()), dtype=np.int64)]
+
+
+def bfs_hops(graph: TextAttributedGraph, node: int, max_hops: int) -> dict[int, np.ndarray]:
+    """Breadth-first hop layers around ``node``: :func:`iter_bfs_layers`, drained.
+
+    Returns a dict mapping hop distance ``h`` (1-based) to the sorted array of
+    node ids first reached at that distance.  Hops with no new nodes are
+    omitted, so the result may have fewer than ``max_hops`` entries.
+    """
+    return dict(iter_bfs_layers(graph, node, max_hops))
 
 
 def k_hop_neighbors(graph: TextAttributedGraph, node: int, k: int) -> np.ndarray:

@@ -46,7 +46,6 @@ class TextAttributedGraph:
     name: str = "tag"
     _degree: np.ndarray = field(init=False, repr=False)
     _khop_cache: dict = field(init=False, repr=False, default_factory=dict)
-    _layers_cache: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         self.indptr = np.asarray(self.indptr, dtype=np.int64)
@@ -114,17 +113,6 @@ class TextAttributedGraph:
 
             cached = k_hop_neighbors(self, int(node), int(k))
             self._khop_cache[key] = cached
-        return cached
-
-    def bfs_layers(self, node: int, max_hops: int) -> dict[int, np.ndarray]:
-        """Cached BFS hop layers (see :func:`repro.graph.sampling.bfs_hops`)."""
-        key = (int(node), int(max_hops))
-        cached = self._layers_cache.get(key)
-        if cached is None:
-            from repro.graph.sampling import bfs_hops
-
-            cached = bfs_hops(self, int(node), int(max_hops))
-            self._layers_cache[key] = cached
         return cached
 
     def has_edge(self, u: int, v: int) -> bool:

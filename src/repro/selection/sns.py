@@ -7,12 +7,19 @@ original uses SimCSE embeddings; here similarity is cosine over the graph's
 encoded features (see DESIGN.md's substitution table).  When no labeled
 node is reachable within five hops, SNS falls back to random unlabeled
 1-hop neighbors so the query still gets some context.
+
+The hop layers come from the lazy walk
+:func:`repro.graph.sampling.iter_bfs_layers`, and ``select`` stops pulling
+layers at the first hop where its labeled count reaches ``M``: on dense
+graphs the 5-hop ball covers the whole graph, yet selection usually stops
+at hop 1 or 2, so only those hops are ever expanded.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.graph.sampling import iter_bfs_layers
 from repro.graph.tag import TextAttributedGraph
 from repro.selection.base import NeighborSelector, SelectedNeighbor
 from repro.text.similarity import top_k_similar
@@ -31,12 +38,9 @@ class SNSSelector(NeighborSelector):
     def label_support(self, graph: TextAttributedGraph, node: int) -> frozenset[int]:
         # Every label_map read — the per-layer labeled test, the stop
         # condition, and the unlabeled-1-hop fallback — touches only nodes
-        # inside the BFS layers; similarity ranking reads features, not
-        # labels.
-        support = {int(node)}
-        for layer in graph.bfs_layers(node, self.max_hops).values():
-            support.update(int(v) for v in layer)
-        return frozenset(support)
+        # inside the max_hops ball, whose union of BFS layers is the k-hop
+        # neighborhood; similarity ranking reads features, not labels.
+        return frozenset(int(v) for v in graph.k_hop(node, self.max_hops)) | {int(node)}
 
     def select(
         self,
@@ -50,15 +54,16 @@ class SNSSelector(NeighborSelector):
             raise ValueError("max_neighbors must be >= 0")
         if max_neighbors == 0:
             return []
-        layers = graph.bfs_layers(node, self.max_hops)
         labeled: list[int] = []
-        first_hop: np.ndarray | None = layers.get(1)
-        for hop in sorted(layers):
-            labeled.extend(int(v) for v in layers[hop] if v in label_map)
+        first_hop: np.ndarray | None = None
+        for hop, layer in iter_bfs_layers(graph, node, self.max_hops):
+            if hop == 1:
+                first_hop = layer
+            labeled.extend(v for v in layer.tolist() if v in label_map)
             if len(labeled) >= max_neighbors:
                 break
         if not labeled:
-            if first_hop is None or first_hop.size == 0:
+            if first_hop is None:
                 return []
             take = min(max_neighbors, int(first_hop.size))
             fallback = [int(v) for v in rng.choice(first_hop, size=take, replace=False)]

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
-from repro.graph.sampling import bfs_hops, k_hop_neighbors, partition_graph
+from repro.graph.sampling import bfs_hops, iter_bfs_layers, k_hop_neighbors, partition_graph
 from repro.graph.tag import TextAttributedGraph
 from repro.text.corpus import NodeText
 
@@ -51,6 +55,72 @@ class TestBfsHops:
     def test_negative_hops(self, path_graph):
         with pytest.raises(ValueError):
             bfs_hops(path_graph, 0, -1)
+
+
+def _graph_from_edges(n: int, edges) -> TextAttributedGraph:
+    return TextAttributedGraph.from_edges(
+        num_nodes=n,
+        edges=np.asarray(edges, dtype=np.int64).reshape(-1, 2),
+        labels=np.zeros(n, dtype=np.int64),
+        texts=[NodeText(f"t{i}", f"a{i}") for i in range(n)],
+        features=np.zeros((n, 1), dtype=np.float32),
+        class_names=["only"],
+    )
+
+
+@st.composite
+def small_graphs(draw) -> TextAttributedGraph:
+    """Sparse random graphs: isolated nodes and several components are common."""
+    n = draw(st.integers(min_value=1, max_value=16))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)) if pairs else []
+    return _graph_from_edges(n, edges)
+
+
+def _hop_distances(graph: TextAttributedGraph, node: int) -> np.ndarray:
+    adjacency = csr_matrix(
+        (np.ones(graph.indices.size), graph.indices, graph.indptr),
+        shape=(graph.num_nodes, graph.num_nodes),
+    )
+    return shortest_path(adjacency, directed=False, unweighted=True, indices=node)
+
+
+class TestIterBfsLayers:
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), graph=small_graphs(), max_hops=st.integers(min_value=0, max_value=20))
+    def test_layers_match_shortest_path_distances(self, data, graph, max_hops):
+        node = data.draw(st.integers(min_value=0, max_value=graph.num_nodes - 1))
+        distances = _hop_distances(graph, node)
+        expected = [
+            (hop, np.flatnonzero(distances == hop))
+            for hop in range(1, max_hops + 1)
+            if (distances == hop).any()
+        ]
+        walked = list(iter_bfs_layers(graph, node, max_hops))
+        assert [hop for hop, _ in walked] == [hop for hop, _ in expected]
+        for (_, layer), (_, want) in zip(walked, expected):
+            assert layer.dtype == np.int64
+            assert layer.tolist() == want.tolist()
+        drained = bfs_hops(graph, node, max_hops)
+        assert list(drained) == [hop for hop, _ in walked]
+        assert all(drained[hop].tolist() == layer.tolist() for hop, layer in walked)
+
+    def test_isolated_node_yields_nothing(self):
+        graph = _graph_from_edges(3, [(1, 2)])
+        assert list(iter_bfs_layers(graph, 0, 5)) == []
+
+    def test_stays_in_own_component(self):
+        graph = _graph_from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+        layers = bfs_hops(graph, 0, 10)
+        assert {hop: layer.tolist() for hop, layer in layers.items()} == {1: [1], 2: [2]}
+
+    def test_invalid_arguments_raise_before_iteration(self, path_graph):
+        with pytest.raises(ValueError):
+            iter_bfs_layers(path_graph, 99, 1)
+        with pytest.raises(ValueError):
+            iter_bfs_layers(path_graph, -1, 1)
+        with pytest.raises(ValueError):
+            iter_bfs_layers(path_graph, 0, -1)
 
 
 class TestKHop:

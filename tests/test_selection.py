@@ -5,11 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.graph.sampling import k_hop_neighbors
+from repro.graph.sampling import bfs_hops, k_hop_neighbors
 from repro.selection.base import VanillaSelector
 from repro.selection.random_khop import KHopRandomSelector
 from repro.selection.registry import METHOD_NAMES, make_selector
+from repro.selection.base import SelectedNeighbor
 from repro.selection.sns import SNSSelector
+from repro.text.similarity import top_k_similar
 from repro.utils.rng import spawn_rng
 
 
@@ -117,6 +119,57 @@ class TestSNS:
     def test_invalid_hops(self):
         with pytest.raises(ValueError):
             SNSSelector(max_hops=0)
+
+
+def reference_sns_select(graph, node, label_map, max_neighbors, rng, max_hops=5):
+    """SNS over the full, eagerly built ``max_hops`` ball (no early stop)."""
+    if max_neighbors == 0:
+        return []
+    layers = bfs_hops(graph, node, max_hops)
+    labeled: list[int] = []
+    for hop in sorted(layers):
+        labeled.extend(int(v) for v in layers[hop] if int(v) in label_map)
+        if len(labeled) >= max_neighbors:
+            break
+    if not labeled:
+        first_hop = layers.get(1)
+        if first_hop is None:
+            return []
+        take = min(max_neighbors, int(first_hop.size))
+        chosen = [int(v) for v in rng.choice(first_hop, size=take, replace=False)]
+    else:
+        candidates = np.asarray(labeled, dtype=np.int64)
+        ranked = top_k_similar(graph.features[node], graph.features[candidates], k=max_neighbors)
+        chosen = [int(candidates[i]) for i in ranked]
+    return [SelectedNeighbor(node=v, label=label_map.get(v)) for v in chosen]
+
+
+class TestSNSMatchesFullBall:
+    """The early-stopping walk selects exactly what the full-ball SNS does."""
+
+    @pytest.mark.parametrize("labeled_fraction", [0.0, 0.01, 0.05, 0.3, 1.0])
+    @pytest.mark.parametrize("max_hops", [1, 2, 5])
+    def test_random_label_maps(self, tiny_graph, labeled_fraction, max_hops):
+        sel = SNSSelector(max_hops=max_hops)
+        draw = np.random.default_rng(int(labeled_fraction * 1000) + max_hops)
+        mask = draw.random(tiny_graph.num_nodes) < labeled_fraction
+        labels = label_map_for(tiny_graph, np.flatnonzero(mask))
+        for node in draw.choice(tiny_graph.num_nodes, size=40, replace=False):
+            node = int(node)
+            for max_neighbors in (0, 1, 4, 9):
+                want = reference_sns_select(
+                    tiny_graph, node, labels, max_neighbors, spawn_rng(7, "sns", node), max_hops
+                )
+                got = sel.select(tiny_graph, node, labels, max_neighbors, spawn_rng(7, "sns", node))
+                assert got == want
+
+    def test_no_labels_falls_back_to_the_same_draws(self, tiny_graph):
+        sel = SNSSelector()
+        for node in range(0, tiny_graph.num_nodes, 7):
+            want = reference_sns_select(tiny_graph, node, {}, 4, spawn_rng(3, "fb", node))
+            got = sel.select(tiny_graph, node, {}, 4, spawn_rng(3, "fb", node))
+            assert got == want
+            assert all(sn.label is None for sn in got)
 
 
 class TestRegistry:
